@@ -742,17 +742,11 @@ BENCHMARK(BM_ChurnErase)
     ->UseRealTime();
 
 // ---- BM_ChurnQuery: covering checks interleaved with sustained churn —
-// the workload the adaptive head-probe estimate (head_probe == 0) actually
-// faces, which neither BM_Churn (publish_weight 0, no queries) nor
-// BM_CoveringCheckApprox (static index, no churn) reproduces.
+// the query-under-churn workload that neither BM_Churn (publish_weight 0, no
+// queries) nor BM_CoveringCheckApprox (static index, no churn) reproduces.
 //
-// ArgPair: (live subscriptions, head_probe). head_probe 1 = the pinned
-// PR-4 scan-only head; 0 = adaptive depth from the plan's running
-// hit-at-rank histograms. Detection results and logical stats are
-// identical for both (the head only moves the physical restart/resume
-// split); items/sec counts covering checks, and query_p50_ns / query_p99_ns
-// time find_covering alone, so the /0-vs-/1 comparison is the
-// adaptive-default verdict on a churning index. Index config matches
+// Arg: live subscriptions. items/sec counts covering checks, and
+// query_p50_ns / query_p99_ns time find_covering alone. Index config matches
 // BM_Churn's production tombstone mode (skiplist hot tier, compressed cold
 // store, deferred compaction), so tombstone-laden frontiers — the state
 // PR-9 maintenance leaves behind between epochs — are what the queries
@@ -767,7 +761,6 @@ void BM_ChurnQuery(benchmark::State& state) {
   so.compact_live_fraction = 0.5;
   so.max_cubes = 4096;
   so.settle_on_budget = true;
-  so.head_probe = static_cast<int>(state.range(1));
   sfc_covering_index idx(s, so);
 
   workload::churn_gen_options co;
@@ -848,10 +841,8 @@ void BM_ChurnQuery(benchmark::State& state) {
   state.counters["resumed"] = per_query(resumed);
 }
 BENCHMARK(BM_ChurnQuery)
-    ->ArgPair(100'000, 1)
-    ->ArgPair(100'000, 0)
-    ->ArgPair(1'000'000, 1)
-    ->ArgPair(1'000'000, 0)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -5,16 +5,23 @@ Usage:
     bench_compare.py BASELINE.json CURRENT.json [--threshold 0.10]
                      [--bytes-threshold 0.10] [--compression-floor 3.0]
                      [--counters-only] [--require PREFIX ...]
+                     [--retire GLOB ...] [--allow-new GLOB ...]
 
 For every benchmark present in both files, the per-op real_time of CURRENT
 is compared against BASELINE; the script exits non-zero if any benchmark is
 more than THRESHOLD slower (default +10%). Throughput benchmarks — those
 reporting items_per_second, e.g. the BM_NetworkThroughput family, whose
 per-iteration real_time tracks a whole workload rather than one op — are
-gated on items/sec instead: a drop of more than THRESHOLD fails. Benchmarks
-present in only one file are reported but never fail the run, so adding or
-retiring benchmarks does not break CI. Improvements are reported for the
-perf trajectory.
+gated on items/sec instead: a drop of more than THRESHOLD fails.
+Improvements are reported for the perf trajectory.
+
+Name sets: BASELINE and CURRENT must hold the same benchmark names. A
+benchmark in BASELINE but not in CURRENT fails the run unless a `--retire
+GLOB` (fnmatch pattern, repeatable) matches it; one in CURRENT but not in
+BASELINE fails unless an `--allow-new GLOB` matches it. Without this, a
+truncated archive on either side would match nothing and gate nothing.
+Under --counters-only the check covers only the benchmarks that report a
+`bytes_per_sub` counter, the set that mode gates.
 
 Bytes gating: benchmarks reporting a `bytes_per_sub` counter (the
 BM_MemoryFootprint family) are additionally gated on that counter — growth
@@ -48,6 +55,7 @@ BENCH_micro.json (the per-PR archived run; see ROADMAP.md).
 """
 
 import argparse
+import fnmatch
 import json
 import re
 import sys
@@ -112,6 +120,22 @@ def gate_times(base, cur, threshold):
         rs = f"{ratio:8.3f}" if ratio is not None else f"{'-':>8s}"
         print(f"{name:{width}s} {bs} {cs} {rs}  {status}")
     return regressions
+
+
+def gate_names(base, cur, retire, allow_new, counters_only):
+    """BASELINE and CURRENT must name the same benchmarks, except for
+    retired and allowed-new names. Returns (unexpected_retired,
+    unexpected_new)."""
+    if counters_only:
+        base = {n: v for n, v in base.items() if v["bytes_per_sub"] is not None}
+        cur = {n: v for n, v in cur.items() if v["bytes_per_sub"] is not None}
+
+    def matches(name, globs):
+        return any(fnmatch.fnmatchcase(name, g) for g in globs)
+
+    retired = sorted(n for n in set(base) - set(cur) if not matches(n, retire))
+    new = sorted(n for n in set(cur) - set(base) if not matches(n, allow_new))
+    return retired, new
 
 
 def gate_bytes(base, cur, threshold):
@@ -235,6 +259,22 @@ def main():
         help="fail unless CURRENT contains a benchmark starting with PREFIX "
         "(repeatable; pins families the gate depends on)",
     )
+    parser.add_argument(
+        "--retire",
+        action="append",
+        default=[],
+        metavar="GLOB",
+        help="BASELINE benchmarks matching GLOB may be absent from CURRENT "
+        "(repeatable)",
+    )
+    parser.add_argument(
+        "--allow-new",
+        action="append",
+        default=[],
+        metavar="GLOB",
+        help="CURRENT benchmarks matching GLOB may be absent from BASELINE "
+        "(repeatable)",
+    )
     args = parser.parse_args()
 
     base = load(args.baseline)
@@ -244,6 +284,9 @@ def main():
         prefix for prefix in args.require if not any(n.startswith(prefix) for n in cur)
     ]
 
+    unexpected_retired, unexpected_new = gate_names(
+        base, cur, args.retire, args.allow_new, args.counters_only
+    )
     time_regressions = [] if args.counters_only else gate_times(base, cur, args.threshold)
     bytes_regressions = gate_bytes(base, cur, args.bytes_threshold)
     floor_failures = (
@@ -294,6 +337,24 @@ def main():
         )
         for stem, ratio in churn_failures:
             print(f"  {stem}: {ratio:.2f}x", file=sys.stderr)
+    if unexpected_retired:
+        failed = True
+        print(
+            f"\nFAIL: {len(unexpected_retired)} benchmark(s) of {args.baseline} missing "
+            f"from {args.current} (name them with --retire):",
+            file=sys.stderr,
+        )
+        for name in unexpected_retired:
+            print(f"  {name}", file=sys.stderr)
+    if unexpected_new:
+        failed = True
+        print(
+            f"\nFAIL: {len(unexpected_new)} benchmark(s) of {args.current} missing "
+            f"from {args.baseline} (name them with --allow-new):",
+            file=sys.stderr,
+        )
+        for name in unexpected_new:
+            print(f"  {name}", file=sys.stderr)
     if missing_required:
         failed = True
         print(
@@ -305,7 +366,7 @@ def main():
             print(f"  {prefix}", file=sys.stderr)
     if failed:
         return 1
-    print(f"\nOK: no regression (times, bytes) and compression floor holds.")
+    print(f"\nOK: same benchmark set, no regression (times, bytes), floors hold.")
     return 0
 
 

@@ -34,6 +34,15 @@ network_metrics& network_metrics::operator+=(const network_metrics& o) {
   return *this;
 }
 
+// The covering_tier_* and covering_maint_* groups are both excluded, for
+// the same reason: they count physical work that depends on the storage
+// history of the covering indexes, not on the logical computation. A broker
+// recovered from a snapshot rebuilds its indexes with one bulk load, so
+// which entries sit in the hot or the cold tier, and which tombstones exist,
+// differ from the never-crashed run. With a tiered backend the
+// crash-recovery engine's tier and maint counters then differ from the
+// deterministic engine's while every logical counter agrees
+// (tests/broker/fault_injection_test.cc, TieredBackendCrashRecovery...).
 bool same_counters(const network_metrics& a, const network_metrics& b) {
   return a.subscription_messages == b.subscription_messages &&
          a.unsubscription_messages == b.unsubscription_messages &&
@@ -42,11 +51,7 @@ bool same_counters(const network_metrics& a, const network_metrics& b) {
          a.covering_hits == b.covering_hits &&
          a.covering_runs_probed == b.covering_runs_probed &&
          a.covering_probes_restarted == b.covering_probes_restarted &&
-         a.covering_probes_resumed == b.covering_probes_resumed &&
-         a.covering_tier_cold_probes == b.covering_tier_cold_probes &&
-         a.covering_tier_summary_answers == b.covering_tier_summary_answers &&
-         a.covering_tier_blocks_decoded == b.covering_tier_blocks_decoded &&
-         a.covering_tier_cold_hits == b.covering_tier_cold_hits;
+         a.covering_probes_resumed == b.covering_probes_resumed;
 }
 
 std::string network_metrics::to_string() const {

@@ -78,9 +78,9 @@ struct network_metrics {
 
 // True when every deterministic logical counter matches. covering_check_ns
 // is excluded (wall-clock timer readings differ run to run even on the
-// byte-identical sequential path), as are the maintenance counters
-// (covering_maint_* — physical tombstone/compaction work that moves with
-// crash-recovery rebuilds) and the fault-transport counters
+// byte-identical sequential path), as are the cold-tier and maintenance
+// counters (covering_tier_* and covering_maint_* — physical work that moves
+// with crash-recovery rebuilds; see metrics.cc) and the fault-transport counters
 // (retries, duplicates_suppressed, recoveries, wal_bytes — they describe
 // the injected fault schedule, not the logical computation) and the TCP
 // physical counters (reconnects, heartbeats_missed, bytes_on_wire,

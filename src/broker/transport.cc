@@ -60,9 +60,8 @@ struct broker_daemon::conn {
 };
 
 struct broker_daemon::op_state {
-  int parent_link = kLocalLink;  // peer the op arrived from; kLocalLink = client
-  std::uint64_t parent_seq = 0;  // seq to ack on the parent channel
-  conn* client = nullptr;        // client_done recipient; null = orphaned
+  msg_key key;             // the message to ack: key.from == kLocalLink = client
+  conn* client = nullptr;  // client_done recipient; null = orphaned
   int pending_acks = 0;
   std::vector<sub_id> delivered;  // local + aggregated subtree deliveries
 };
@@ -83,6 +82,16 @@ std::vector<int> peer_ids(const transport_options& o) {
   return ids;
 }
 
+// Calls f(link) for each data message a logged subscribe/unsubscribe
+// disposition emitted, in emission order (subscribe: forwarded_links;
+// unsubscribe: withdrawals, then reforwards — the other lists are empty).
+template <class F>
+void for_each_emission_link(const wal_record& r, F f) {
+  for (const int link : r.forwarded_links) f(link);
+  for (const int link : r.withdrawn_links) f(link);
+  for (const auto& [link, sub_pair] : r.reforwards) f(link);
+}
+
 }  // namespace
 
 broker_daemon::broker_daemon(const schema& s, const covering_index_factory& factory,
@@ -98,11 +107,12 @@ broker_daemon::broker_daemon(const schema& s, const covering_index_factory& fact
   const bool had_state =
       !rec.records.empty() || !rec.aux.empty() || !(rec.snapshot == broker_snapshot{});
   if (had_state) ++metrics_.recoveries;
+  load_dedup_aux(rec.aux);
   for (const auto& r : rec.records) {
     note_applied(r.op, r.from, r.seq);
-    records_[r.op] = r;
+    records_[msg_key{r.op, r.from, r.seq}] = r;
+    for_each_emission_link(r, [&](int link) { ++send_seq_[r.op][link]; });
   }
-  load_dedup_aux(rec.aux);
   // Resume the local op-id counter past every op this broker ever
   // originated (applied_ holds both post-snapshot records and the aux
   // blob's checkpointed keys). Without this a restarted daemon would mint
@@ -465,7 +475,7 @@ void broker_daemon::handle_client_msg(conn& c, const wire_msg& m) {
       data.body = m.body;
       data.values = m.values;
       auto st = std::make_unique<op_state>();
-      st->parent_link = kLocalLink;
+      st->key = msg_key{op, kLocalLink, 0};
       st->client = &c;
       try {
         process_fresh(kLocalLink, data, *st);
@@ -480,9 +490,9 @@ void broker_daemon::handle_client_msg(conn& c, const wire_msg& m) {
         return;
       }
       if (st->pending_acks == 0)
-        complete_op(op, *st);
+        complete_op(*st);
       else
-        active_[op] = std::move(st);
+        active_[st->key] = std::move(st);
       return;
     }
     case msg_type::client_dump: {
@@ -518,18 +528,6 @@ void broker_daemon::handle_data(int from, const wire_msg& m) {
   std::uint64_t next = 0;
   if (const auto oit = applied_.find(m.op); oit != applied_.end())
     if (const auto fit = oit->second.find(from); fit != oit->second.end()) next = fit->second;
-
-  if (m.seq == next) {
-    auto st = std::make_unique<op_state>();
-    st->parent_link = from;
-    st->parent_seq = m.seq;
-    process_fresh(from, m, *st);
-    if (st->pending_acks == 0)
-      complete_op(m.op, *st);
-    else
-      active_[m.op] = std::move(st);
-    return;
-  }
   if (m.seq > next) {
     // TCP is in-order and the ledger replays in order: a gap means the
     // sender and receiver disagree about history. Drop the connection.
@@ -537,31 +535,33 @@ void broker_daemon::handle_data(int from, const wire_msg& m) {
     return;
   }
 
-  // Duplicate: only reconnect replay produces these.
-  ++metrics_.duplicates_suppressed;
-  if (active_.count(m.op) != 0) return;  // in flight: our eventual ack covers it
-
-  // The subtree's ack state died with a crash (ours or an ancestor's).
-  // Rebuild it by deterministic re-emission — see transport.h.
   auto st = std::make_unique<op_state>();
-  st->parent_link = from;
-  st->parent_seq = m.seq;
-  if (const auto it = records_.find(m.op); it != records_.end()) {
-    if (it->second.k == wal_record::kind::event_receipt)
+  st->key = msg_key{m.op, from, m.seq};
+  if (m.seq == next) {
+    process_fresh(from, m, *st);
+  } else {
+    // Duplicate: only reconnect replay produces these.
+    ++metrics_.duplicates_suppressed;
+    if (active_.count(st->key) != 0) return;  // in flight: our eventual ack covers it
+    // The subtree's ack state died with a crash (ours or an ancestor's).
+    // Rebuild it by deterministic re-emission — see transport.h.
+    if (const auto it = records_.find(st->key); it != records_.end()) {
+      if (it->second.k == wal_record::kind::event_receipt)
+        replay_publish(from, m, *st);
+      else
+        emit_record(it->second, *st, /*replay=*/true);
+    } else if (m.type == msg_type::publish) {
+      // Record checkpointed away: the subtree completed, but the delivered
+      // set must be reassembled for the ack.
       replay_publish(from, m, *st);
-    else
-      replay_record(it->second, *st);
-  } else if (m.type == msg_type::publish) {
-    // Record checkpointed away: the subtree completed, but the delivered
-    // set must be reassembled for the ack.
-    replay_publish(from, m, *st);
+    }
+    // else: checkpointed subscribe/unsubscribe — downstream is durable and
+    // quiescent; the empty re-ack below is all the parent needs.
   }
-  // else: checkpointed subscribe/unsubscribe — downstream is durable and
-  // quiescent; the empty re-ack below is all the parent needs.
   if (st->pending_acks == 0)
-    complete_op(m.op, *st);
+    complete_op(*st);
   else
-    active_[m.op] = std::move(st);
+    active_[st->key] = std::move(st);
 }
 
 void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
@@ -578,15 +578,8 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
       r.forwarded_links = action.forward_links;
       wal_.append(r);
       note_applied(m.op, from, m.seq);
-      records_[m.op] = r;
-      for (const int link : action.forward_links) {
-        ++metrics_.subscription_messages;
-        wire_msg out;
-        out.type = msg_type::subscribe;
-        out.id = m.id;
-        out.body = m.body;
-        emit_data(m.op, link, std::move(out), st);
-      }
+      metrics_.subscription_messages += r.forwarded_links.size();
+      emit_record(records_[st.key] = std::move(r), st, /*replay=*/false);
       break;
     }
     case msg_type::unsubscribe: {
@@ -597,23 +590,10 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
       r.reforwards = action.reforwards;
       wal_.append(r);
       note_applied(m.op, from, m.seq);
-      records_[m.op] = r;
-      for (const int link : action.forward_links) {
-        ++metrics_.unsubscription_messages;
-        wire_msg out;
-        out.type = msg_type::unsubscribe;
-        out.id = m.id;
-        emit_data(m.op, link, std::move(out), st);
-      }
-      for (const auto& [link, sub_pair] : action.reforwards) {
-        ++metrics_.subscription_messages;
-        ++metrics_.reforwards;
-        wire_msg out;
-        out.type = msg_type::subscribe;
-        out.id = sub_pair.first;
-        out.body = sub_pair.second;
-        emit_data(m.op, link, std::move(out), st);
-      }
+      metrics_.unsubscription_messages += r.withdrawn_links.size();
+      metrics_.subscription_messages += r.reforwards.size();
+      metrics_.reforwards += r.reforwards.size();
+      emit_record(records_[st.key] = std::move(r), st, /*replay=*/false);
       break;
     }
     case msg_type::publish: {
@@ -622,7 +602,7 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
       r.k = wal_record::kind::event_receipt;
       wal_.append(r);
       note_applied(m.op, from, m.seq);
-      records_[m.op] = r;
+      records_[st.key] = r;
       for (const sub_id id : action.local_deliveries) {
         st.delivered.push_back(id);
         ++metrics_.deliveries;
@@ -632,7 +612,7 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
         wire_msg out;
         out.type = msg_type::publish;
         out.values = m.values;
-        emit_data(m.op, link, std::move(out), st);
+        emit_data(0, link, std::move(out), st);
       }
       break;
     }
@@ -642,40 +622,41 @@ void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
   metrics_.wal_bytes = wal_.bytes_appended();
 }
 
-void broker_daemon::replay_record(const wal_record& r, op_state& st) {
-  // Physical re-emission of a logged disposition: no broker handler runs
-  // and no logical counter moves. Emission order matches process_fresh
-  // exactly, so the regenerated per-op per-link seqs equal the originals.
-  switch (r.k) {
-    case wal_record::kind::subscribe:
-      for (const int link : r.forwarded_links) {
-        wire_msg out;
-        out.type = msg_type::subscribe;
-        out.id = r.id;
-        out.body = r.body;
-        emit_data(r.op, link, std::move(out), st);
-      }
-      break;
-    case wal_record::kind::unsubscribe:
-      for (const int link : r.withdrawn_links) {
-        wire_msg out;
-        out.type = msg_type::unsubscribe;
-        out.id = r.id;
-        emit_data(r.op, link, std::move(out), st);
-      }
-      for (const auto& [link, sub_pair] : r.reforwards) {
-        wire_msg out;
-        out.type = msg_type::subscribe;
-        out.id = sub_pair.first;
-        out.body = sub_pair.second;
-        emit_data(r.op, link, std::move(out), st);
-      }
-      break;
-    case wal_record::kind::event_receipt:
-      // Needs the event payload, which only a duplicate message carries —
-      // replay_publish handles that path; client-origin receipts are not
-      // resumable (resume_client_ops skips them).
-      break;
+void broker_daemon::emit_record(const wal_record& r, op_state& st, bool replay) {
+  // Sends a logged subscribe/unsubscribe disposition's data messages. Fresh
+  // processing takes the op's next seq on each link. A replay is physical
+  // re-emission (no broker handler runs, no logical counter moves) and
+  // regenerates the original seqs: the op's counter minus what this record
+  // and its later siblings emitted (see transport.h).
+  if (r.forwarded_links.empty() && r.withdrawn_links.empty() && r.reforwards.empty()) return;
+  auto& counter = send_seq_[r.op];
+  std::map<int, std::uint64_t> replayed;
+  if (replay) {
+    replayed = counter;
+    for (auto it = records_.lower_bound(msg_key{r.op, r.from, r.seq});
+         it != records_.end() && it->first.op == r.op && it->first.from == r.from; ++it)
+      for_each_emission_link(it->second, [&](int link) { --replayed[link]; });
+  }
+  auto& next = replay ? replayed : counter;
+  for (const int link : r.forwarded_links) {
+    wire_msg out;
+    out.type = msg_type::subscribe;
+    out.id = r.id;
+    out.body = r.body;
+    emit_data(next[link]++, link, std::move(out), st);
+  }
+  for (const int link : r.withdrawn_links) {
+    wire_msg out;
+    out.type = msg_type::unsubscribe;
+    out.id = r.id;
+    emit_data(next[link]++, link, std::move(out), st);
+  }
+  for (const auto& [link, sub_pair] : r.reforwards) {
+    wire_msg out;
+    out.type = msg_type::subscribe;
+    out.id = sub_pair.first;
+    out.body = sub_pair.second;
+    emit_data(next[link]++, link, std::move(out), st);
   }
 }
 
@@ -692,16 +673,16 @@ void broker_daemon::replay_publish(int from, const wire_msg& m, op_state& st) {
     wire_msg out;
     out.type = msg_type::publish;
     out.values = m.values;
-    emit_data(m.op, link, std::move(out), st);
+    emit_data(0, link, std::move(out), st);
   }
 }
 
-void broker_daemon::emit_data(std::uint64_t op, int link, wire_msg m, op_state& st) {
-  m.op = op;
-  m.seq = send_seq_[op][link]++;
+void broker_daemon::emit_data(std::uint64_t seq, int link, wire_msg m, op_state& st) {
+  m.op = st.key.op;
+  m.seq = seq;
   ++st.pending_acks;
   auto& slot = peers_[link];
-  slot.unacked.push_back({op, m.seq, m});
+  slot.unacked.push_back({m.op, m.seq, st.key, m});
   if (slot.c != nullptr) queue_bytes(*slot.c, frame_msg(m));
   // else: the peer is down; the ledger entry goes out on reconnect.
 }
@@ -713,25 +694,26 @@ void broker_daemon::handle_ack(int from, const wire_msg& m) {
                                  return e.op == m.op && e.seq == m.seq;
                                });
   if (it == slot.unacked.end()) return;  // stale re-ack of an already-acked send
+  const msg_key owner = it->owner;
   slot.unacked.erase(it);
-  const auto ait = active_.find(m.op);
+  const auto ait = active_.find(owner);
   if (ait == active_.end()) return;
   op_state& st = *ait->second;
   st.delivered.insert(st.delivered.end(), m.delivered.begin(), m.delivered.end());
   if (--st.pending_acks == 0) {
     auto owned = std::move(ait->second);
     active_.erase(ait);
-    complete_op(m.op, *owned);
+    complete_op(*owned);
   }
 }
 
-void broker_daemon::complete_op(std::uint64_t op, op_state& st) {
+void broker_daemon::complete_op(op_state& st) {
   std::sort(st.delivered.begin(), st.delivered.end());
-  if (st.parent_link == kLocalLink) {
+  if (st.key.from == kLocalLink) {
     if (st.client != nullptr && !st.client->dead) {
       wire_msg done;
       done.type = msg_type::client_done;
-      done.op = op;
+      done.op = st.key.op;
       done.status = 0;
       done.delivered = st.delivered;
       queue_bytes(*st.client, frame_msg(done));
@@ -741,16 +723,15 @@ void broker_daemon::complete_op(std::uint64_t op, op_state& st) {
   } else {
     wire_msg ack;
     ack.type = msg_type::ack;
-    ack.op = op;
-    ack.seq = st.parent_seq;
+    ack.op = st.key.op;
+    ack.seq = st.key.seq;
     ack.delivered = st.delivered;
-    if (auto& slot = peers_[st.parent_link]; slot.c != nullptr)
+    if (auto& slot = peers_[st.key.from]; slot.c != nullptr)
       queue_bytes(*slot.c, frame_msg(ack));
     // else: the ack is lost with the dead connection; the parent replays
     // on reconnect and the duplicate path re-acks.
   }
-  active_.erase(op);
-  send_seq_.erase(op);
+  active_.erase(st.key);
   maybe_checkpoint();
 }
 
@@ -780,6 +761,16 @@ std::vector<std::uint8_t> broker_daemon::dedup_aux() const {
       codec::put_signed(out, from);
       codec::put_varint(out, next);
     }
+  // Then the send counters, same layout (op, link, next).
+  entries = 0;
+  for (const auto& [op, by_link] : send_seq_) entries += by_link.size();
+  codec::put_varint(out, entries);
+  for (const auto& [op, by_link] : send_seq_)
+    for (const auto& [link, next] : by_link) {
+      codec::put_varint(out, op);
+      codec::put_signed(out, link);
+      codec::put_varint(out, next);
+    }
   return out;
 }
 
@@ -794,6 +785,13 @@ void broker_daemon::load_dedup_aux(const std::vector<std::uint8_t>& aux) {
     auto& pos = applied_[op][from];
     if (next > pos) pos = next;
   }
+  if (in.done()) return;  // written before send counters were persisted
+  const auto sent = in.varint();
+  for (std::uint64_t i = 0; i < sent; ++i) {
+    const auto op = in.varint();
+    const auto link = static_cast<int>(in.signed_varint());
+    send_seq_[op][link] = in.varint();
+  }
   if (!in.done()) throw wal_error("wal: trailing bytes in dedup aux blob");
 }
 
@@ -802,14 +800,14 @@ void broker_daemon::resume_client_ops() {
   // was cut short by the crash, nothing else in the cluster will finish
   // it. Re-emit them all (completed ones cost a few suppressed duplicates
   // and empty re-acks; the incomplete one converges the cluster).
-  for (const auto& [op, r] : records_) {
-    if (r.from != kLocalLink) continue;
+  for (const auto& [key, r] : records_) {
+    if (key.from != kLocalLink) continue;
     if (r.k == wal_record::kind::event_receipt) continue;  // no payload to replay
     auto st = std::make_unique<op_state>();
-    st->parent_link = kLocalLink;
+    st->key = key;
     st->client = nullptr;  // its client died with the previous incarnation
-    replay_record(r, *st);
-    if (st->pending_acks > 0) active_[op] = std::move(st);
+    emit_record(r, *st, /*replay=*/true);
+    if (st->pending_acks > 0) active_[key] = std::move(st);
     // pending == 0 (leaf broker): nothing to do — state is durable and
     // there is no client to notify.
   }

@@ -46,10 +46,15 @@
 //   * A duplicate data message whose record is still in the log replays
 //     that record's emissions (subscribe: forwarded_links; unsubscribe:
 //     withdrawals then reforwards, original order) with regenerated
-//     per-op per-link seq numbers — which match the originals, because a
-//     broker sends for an op only from its single process() of that op,
-//     in deterministic order. Downstream brokers suppress what they
-//     already applied and re-ack; fresh receivers just process.
+//     per-op per-link seq numbers that match the originals. One op can
+//     reach a broker as several messages on its parent link (an
+//     unsubscribe that withdraws one subscription and re-forwards another
+//     sends both on the same link), each processed separately, so the seqs
+//     a record used are the op's send counter minus what that record and
+//     its later siblings (same op and parent, higher seq) emitted.
+//     Downstream brokers suppress what they already applied and re-ack;
+//     fresh receivers just process. A publish sends at most one message per
+//     link, so its seq is always 0.
 //   * A duplicate publish re-runs handle_event (events mutate no routing
 //     state and the cluster runs one operation at a time, so the recompute
 //     sees the same routing tables) using the event payload carried by the
@@ -69,10 +74,11 @@
 //
 // Exactly-once applies to *state*; deliveries to local subscribers are
 // at-least-once across client retries of an interrupted publish (the
-// standard pub/sub contract). Duplicate-suppression keys are kept for the
-// daemon's lifetime and persisted across checkpoints; a production
-// implementation would prune them with completion watermarks — out of
-// scope here and documented in docs/ARCHITECTURE.md.
+// standard pub/sub contract). Duplicate-suppression keys and the per-op
+// send counters are kept for the daemon's lifetime and persisted across
+// checkpoints; a production implementation would prune them with
+// completion watermarks — out of scope here and documented in
+// docs/ARCHITECTURE.md.
 //
 // Liveness: peer connections heartbeat after heartbeat_ms of send
 // idleness; rx silence past peer_timeout_ms counts heartbeats_missed,
@@ -150,10 +156,21 @@ class broker_daemon {
 
  private:
   struct conn;       // one socket: peer, client, or not-yet-identified
-  struct op_state;   // one in-flight operation's ack bookkeeping
+  struct op_state;   // one in-flight message's ack bookkeeping
+  // One incoming data message: its op, the link it arrived on (kLocalLink
+  // for a client operation) and its seq on that op's channel. The unit of
+  // in-flight state and of replay records — one op may arrive as several
+  // messages on the same link.
+  struct msg_key {
+    std::uint64_t op = 0;
+    int from = 0;
+    std::uint64_t seq = 0;
+    friend auto operator<=>(const msg_key&, const msg_key&) = default;
+  };
   struct ledger_entry {
     std::uint64_t op = 0;
     std::uint64_t seq = 0;
+    msg_key owner;  // the incoming message whose state awaits this ack
     wire_msg msg;
   };
   struct peer_slot {
@@ -188,11 +205,12 @@ class broker_daemon {
 
   // Fresh processing of one data message (the fault engine's process()).
   void process_fresh(int from, const wire_msg& m, op_state& st);
-  // Replay emissions for a duplicate (crash-recovery re-emission).
-  void replay_record(const wal_record& r, op_state& st);
+  // Sends a subscribe/unsubscribe record's data messages: fresh, or as a
+  // crash-recovery re-emission with the original seqs (replay == true).
+  void emit_record(const wal_record& r, op_state& st, bool replay);
   void replay_publish(int from, const wire_msg& m, op_state& st);
-  void emit_data(std::uint64_t op, int link, wire_msg m, op_state& st);
-  void complete_op(std::uint64_t op, op_state& st);
+  void emit_data(std::uint64_t seq, int link, wire_msg m, op_state& st);
+  void complete_op(op_state& st);
   void note_applied(std::uint64_t op, int from, std::uint64_t seq);
   void maybe_checkpoint();
   std::vector<std::uint8_t> dedup_aux() const;
@@ -217,11 +235,14 @@ class broker_daemon {
   // Duplicate suppression: op -> (from -> next expected seq). Grows with
   // operation count (see header comment — lifetime-scoped by design).
   std::map<std::uint64_t, std::map<int, std::uint64_t>> applied_;
-  // Post-snapshot records by op, for duplicate-replay; cleared at checkpoint.
-  std::map<std::uint64_t, wal_record> records_;
-  std::map<std::uint64_t, std::unique_ptr<op_state>> active_;
-  // Per-op per-link send sequence counters (deterministically regenerated
-  // after a crash — see header comment).
+  // Post-snapshot records by incoming message, for duplicate-replay;
+  // cleared at checkpoint.
+  std::map<msg_key, wal_record> records_;
+  std::map<msg_key, std::unique_ptr<op_state>> active_;
+  // Per-op per-link send sequence counters of subscribe/unsubscribe ops
+  // (publish always sends seq 0). Lifetime-scoped like applied_: a later
+  // message of an op may arrive after an earlier one completed, and replay
+  // derives the original seqs from these counters (see header comment).
   std::map<std::uint64_t, std::map<int, std::uint64_t>> send_seq_;
 };
 

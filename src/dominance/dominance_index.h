@@ -50,7 +50,6 @@
 #include "sfc/curve.h"
 #include "sfcarray/sfc_array.h"
 #include "util/key_traits.h"
-#include "util/simd.h"
 
 namespace subcover {
 
@@ -62,43 +61,14 @@ struct dominance_options {
   // valid (tests force u512 to cross-check the narrow paths), forcing a
   // narrower one than the universe needs throws at construction.
   key_width width = key_width::automatic;
-  // Coalesce adjacent cube ranges into runs before probing (Lemma 3.1 makes
-  // runs <= cubes; disabling probes raw cubes, matching the paper's
-  // cube-count analysis exactly).
-  bool merge_runs = true;
   // Probe each level's run frontier with one batched probe_frontier sweep
   // over the SFC array (resumed searches, sfcarray/sfc_array.h) instead of
   // one independent first_in per run. Results and every pre-existing
   // query_stats field are byte-identical either way; only the physical
   // probe-work counters (frontier_batches / probes_restarted /
-  // probes_resumed) differ. Effective only with merge_runs (the sweep needs
-  // the key-sorted merged frontier); disable to force the single-range
-  // reference path, the equivalence oracle in tests.
+  // probes_resumed) differ. Disable to force the single-range reference
+  // path, the equivalence oracle in tests.
   bool batched_probe = true;
-  // How many of a level's top-volume runs are probed individually (one
-  // fresh first_in descent each) before the batched frontier sweep engages
-  // for the remainder. 1 (the pinned default) reproduces the PR-4 behavior
-  // exactly: probe rank 0 alone — found by one O(m) scan, no sort — and
-  // only a miss engages the ordering + sweep machinery. 0 selects the depth
-  // adaptively per plan: the plan keeps a running histogram of the rank at
-  // which past queries hit and probes the smallest prefix that captured
-  // >= 90% of them (clamped to 8). Values > 1 force a fixed deeper head.
-  // Results and all logical query_stats are identical for every setting
-  // (the probe order never changes); only the physical restart/resume split
-  // varies. Applies to both batched paths (merged runs, and the cube-count
-  // path when merge_runs is false); ignored on the single-range reference
-  // path. Negative values throw std::invalid_argument at construction.
-  int head_probe = 1;
-  // How the query plan runs its level-frontier kernels (util/simd.h):
-  // `automatic` (the default) uses the runtime-dispatched scalar/SSE4.2/AVX2
-  // ladder of util/simd_kernels.h, `force_scalar` pins those call sites to
-  // the kernel library's scalar backend, `off` bypasses the kernel library
-  // and runs the plan's plain-loop reference implementations. Results, stop
-  // decisions and every logical query_stats field are identical for all
-  // three settings at every key width; only speed moves. The shared arrays
-  // follow the process-wide dispatch (SUBCOVER_FORCE_SCALAR), not this
-  // per-index policy.
-  simd_mode simd = simd_mode::automatic;
   // Safety valve: queries whose decomposition exceeds this many cubes either
   // throw std::length_error (settle_on_budget == false) or stop enumerating
   // and probe the partial plan collected so far (settle_on_budget == true).

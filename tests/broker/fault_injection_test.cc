@@ -143,6 +143,39 @@ TEST(FaultInjection, CrashRecoveryConvergesMidOperation) {
   EXPECT_GT(faulty.metrics().duplicates_suppressed, 0U);  // the ack-lost crash variant
 }
 
+TEST(FaultInjection, TieredBackendCrashRecoveryMatchesOnLogicalCounters) {
+  // A hot/cold tiered sorted-vector backend: a recovered broker rebuilds its
+  // covering indexes by bulk load, so its cold-tier and tombstone counters
+  // legitimately differ from the never-crashed run. same_counters must
+  // still hold — it compares logical counters only — and the final routing
+  // state must be identical.
+  const schema s = workload::make_uniform_schema(2, 8);
+  network_options tiered = base_opts();
+  tiered.factory = [](const schema& sc) {
+    sfc_covering_options so;
+    so.max_cubes = 2048;
+    so.array = sfc_array_kind::sorted_vector;
+    so.tier_hot_capacity = 8;
+    so.tier_block_entries = 4;
+    so.compact_live_fraction = 0.9;
+    return std::make_unique<sfc_covering_index>(sc, so);
+  };
+  fault_options f;
+  f.seed = 99;
+  f.crash_prob = 0.03;
+  f.checkpoint_every = 16;
+  network_options tiered_faulty = tiered;
+  tiered_faulty.faults = f;
+  network det(topology::balanced_tree(2, 3), s, tiered);
+  network faulty(topology::balanced_tree(2, 3), s, tiered_faulty);
+  run_identical_churn(det, faulty, s, 2020, 150);
+  expect_same_final_state(det, faulty);
+  EXPECT_GT(faulty.metrics().recoveries, 0U);
+  // The tiered backend did physical cold-tier work in both runs.
+  EXPECT_GT(det.metrics().covering_tier_cold_probes, 0U);
+  EXPECT_GT(faulty.metrics().covering_tier_cold_probes, 0U);
+}
+
 TEST(FaultInjection, RecoverBrokerBetweenOperationsIsByteIdentical) {
   // The crash-between-operations path: capture a broker's state, discard it,
   // rebuild from the WAL, and require byte-identical routing + forwarded

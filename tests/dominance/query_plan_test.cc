@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <deque>
 #include <new>
 #include <vector>
 
@@ -176,52 +175,6 @@ TEST(QueryPlan, BatchedProbeIsByteIdenticalToSingleRangePath) {
       }
       EXPECT_LT(batched_restarts, single_restarts)
           << "batching should strictly reduce fresh descents";
-    }
-  }
-}
-
-TEST(QueryPlan, HeadProbeDepthPreservesResults) {
-  // dominance_options::head_probe moves probes between the individual-head
-  // and frontier-sweep execution strategies but never changes the probe
-  // order, so every depth — the pinned default 1, fixed deeper heads, and
-  // the adaptive estimate (0) — must return the same hit and the same
-  // logical stats as the single-range reference path on the same data.
-  rng gen(7117);
-  const universe u(2, 6);
-  dominance_options ref_opts;
-  ref_opts.batched_probe = false;
-  dominance_index ref_idx(u, ref_opts);
-  std::deque<dominance_index> idxs;
-  const int depths[] = {1, 2, 4, 7, 0};
-  for (const int h : depths) {
-    dominance_options o;
-    o.head_probe = h;
-    idxs.emplace_back(u, o);
-  }
-  for (std::uint64_t i = 0; i < 150; ++i) {
-    const point p = random_point(gen, u);
-    ref_idx.insert(p, i);
-    for (auto& idx : idxs) idx.insert(p, i);
-  }
-  // Negative depths are rejected up front, not silently mapped to adaptive.
-  dominance_options bad;
-  bad.head_probe = -1;
-  EXPECT_THROW(dominance_index(u, bad), std::invalid_argument);
-  // Enough queries that the adaptive plan passes its minimum-sample gate
-  // and starts choosing depths from its own histogram.
-  for (const double eps : {0.0, 0.1, 0.5}) {
-    for (int q = 0; q < 120; ++q) {
-      const point x = random_point(gen, u);
-      query_stats ref_st;
-      const auto ref = ref_idx.query(x, eps, &ref_st);
-      for (std::size_t k = 0; k < idxs.size(); ++k) {
-        const std::string what = "head_probe=" + std::to_string(depths[k]) +
-                                 " eps=" + std::to_string(eps) + " x=" + x.to_string();
-        query_stats st;
-        const auto got = idxs[k].query(x, eps, &st);
-        EXPECT_EQ(got, ref) << what;
-        expect_same_stats(st, ref_st, what);
-      }
     }
   }
 }

@@ -12,7 +12,9 @@
 // keeps all listen fds open, so a SIGKILLed broker's port survives the
 // crash and the re-forked child resumes accepting on the very same socket.
 // Children _exit() so they never touch gtest's reporting or LSan's atexit
-// hooks; all assertions run in the parent.
+// hooks; all assertions run in the parent. Scenarios that need a fixed
+// interleaving rather than real processes run three in-process daemons
+// stepped by one thread (drive_op).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <signal.h>
@@ -28,6 +30,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,6 +120,86 @@ bool cluster_matches(std::array<cluster_client, kBrokers>& clients, const networ
     if (reply.snapshot != encode_snapshot(ref.broker_at(b).snapshot())) return false;
   }
   return true;
+}
+
+// Sends one client operation to `client` and steps every in-process daemon
+// until its reply arrives or `deadline_ms` of wall time passes.
+std::optional<wire_msg> drive_op(std::vector<std::unique_ptr<broker_daemon>>& daemons,
+                                 cluster_client& client, const wire_msg& m, int deadline_ms) {
+  client.send(m);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (auto& d : daemons) d->step(0);
+    if (auto reply = client.recv(1)) return reply;
+  }
+  return std::nullopt;
+}
+
+TEST(TcpClusterTest, UnsubscribeThatWithdrawsAndReforwardsOnOneLinkCompletes) {
+  // On the line 0 - 1 - 2: subscribe A at broker 0, then B inside A (covered
+  // on the link to broker 1, so not forwarded), then unsubscribe A. Broker 0
+  // withdraws A and re-forwards B on the same link — two data messages with
+  // one op id, seq 0 and seq 1. Broker 1 must track and ack each message
+  // separately, or the first ack is lost and the client never hears back.
+  // One thread steps three in-process daemons, so no fork and no timing race.
+  std::array<int, kBrokers> fds{};
+  std::array<int, kBrokers> ports{};
+  for (int b = 0; b < kBrokers; ++b) fds[b] = bind_loopback_listener(&ports[b]);
+  // A small uniform schema: the covering check that keeps B local is exact
+  // here (the sensor schema's wildcard-heavy queries can hit the budget).
+  const schema s = workload::make_uniform_schema(2, 8);
+  std::vector<std::unique_ptr<broker_daemon>> daemons;
+  for (int id = 0; id < kBrokers; ++id) {
+    transport_options o;
+    o.broker_id = id;
+    o.listen_fd = fds[id];  // the daemon takes ownership and closes it
+    if (id > 0) o.peers.push_back({id - 1, "127.0.0.1", ports[id - 1]});
+    if (id + 1 < kBrokers) o.peers.push_back({id + 1, "127.0.0.1", ports[id + 1]});
+    daemons.push_back(std::make_unique<broker_daemon>(
+        s, [](const schema& sc) { return std::make_unique<sfc_covering_index>(sc); }, o));
+  }
+  cluster_client client;
+  client.connect("127.0.0.1", ports[0], 5000);
+
+  network_options no;
+  no.use_covering = true;
+  network ref(topology::line(kBrokers), s, no);
+  const subscription a(s, {{10, 200}, {20, 220}});
+  const subscription b(s, {{50, 100}, {60, 120}});
+  ASSERT_TRUE(a.covers(b));
+
+  const auto run = [&](wire_msg m) {
+    const auto done = drive_op(daemons, client, m, 5000);
+    ASSERT_TRUE(done.has_value()) << "no client_done for op type "
+                                  << static_cast<int>(m.type);
+    EXPECT_EQ(done->type, msg_type::client_done);
+    EXPECT_EQ(done->status, 0);
+  };
+  wire_msg m;
+  m.type = msg_type::client_subscribe;
+  const sub_id id_a = ref.subscribe(0, a);
+  m.id = id_a;
+  m.body = a;
+  run(m);
+  m.id = ref.subscribe(0, b);
+  m.body = b;
+  run(m);
+  m = wire_msg{};
+  m.type = msg_type::client_unsubscribe;
+  m.id = id_a;
+  ref.unsubscribe(id_a);
+  // The scenario needs the withdraw-and-reforward on one link.
+  ASSERT_GE(ref.metrics().reforwards, 1u);
+  run(m);
+
+  for (int id = 0; id < kBrokers; ++id)
+    EXPECT_EQ(encode_snapshot(daemons[static_cast<std::size_t>(id)]->state().snapshot()),
+              encode_snapshot(ref.broker_at(id).snapshot()))
+        << "broker " << id;
+  network_metrics summed;
+  for (const auto& d : daemons) summed += d->metrics();
+  EXPECT_TRUE(same_counters(summed, ref.metrics()));
 }
 
 TEST(TcpClusterTest, KillAndRecoverConvergesByteIdentical) {
